@@ -4,8 +4,12 @@
 //! and message-protection cost across payload sizes.
 //!
 //! Expected shape: GT3/SOAP establishment is slower and bulkier (XML +
-//! base64 framing around identical tokens); per-message protection
-//! overhead is similarly XML-dominated.
+//! base64 framing around identical tokens). Per message, GT3 runs the
+//! same AEAD seal/open as a GT2 record plus the encoding around it:
+//! serializing the body, base64 of the sealed bytes, writing and parsing
+//! the envelope. No public-key operation is involved, and the trace of
+//! the benchmark's `ws_messages` workload puts AEAD and encoding at
+//! comparable shares of that cost (DESIGN.md §11.5).
 
 use gridsec_bench::bench_world;
 use gridsec_tls::handshake::{handshake_in_memory, TlsConfig};

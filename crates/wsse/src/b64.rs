@@ -1,80 +1,117 @@
 //! Standard base64 (RFC 4648, with padding) for embedding binary tokens,
 //! digests, and signatures in XML text content.
 
+use gridsec_xml::{Element, Node};
+
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 /// Encode bytes to base64.
 pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b = [
-            chunk[0],
-            chunk.get(1).copied().unwrap_or(0),
-            chunk.get(2).copied().unwrap_or(0),
-        ];
-        let n = (b[0] as u32) << 16 | (b[1] as u32) << 8 | b[2] as u32;
-        out.push(ALPHABET[(n >> 18) as usize & 63] as char);
-        out.push(ALPHABET[(n >> 12) as usize & 63] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[(n >> 6) as usize & 63] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            ALPHABET[n as usize & 63] as char
-        } else {
-            '='
-        });
+    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    let mut chunks = data.chunks_exact(3);
+    for c in &mut chunks {
+        let n = (c[0] as u32) << 16 | (c[1] as u32) << 8 | c[2] as u32;
+        out.extend_from_slice(&[
+            ALPHABET[(n >> 18) as usize & 63],
+            ALPHABET[(n >> 12) as usize & 63],
+            ALPHABET[(n >> 6) as usize & 63],
+            ALPHABET[n as usize & 63],
+        ]);
     }
-    out
+    match *chunks.remainder() {
+        [a] => out.extend_from_slice(&[
+            ALPHABET[(a >> 2) as usize],
+            ALPHABET[(a & 3) as usize * 16],
+            b'=',
+            b'=',
+        ]),
+        [a, b] => out.extend_from_slice(&[
+            ALPHABET[(a >> 2) as usize],
+            ALPHABET[((a & 3) << 4 | b >> 4) as usize],
+            ALPHABET[(b & 15) as usize * 4],
+            b'=',
+        ]),
+        _ => {}
+    }
+    String::from_utf8(out).expect("the base64 alphabet is ASCII")
 }
 
-fn decode_char(c: u8) -> Option<u8> {
-    match c {
-        b'A'..=b'Z' => Some(c - b'A'),
-        b'a'..=b'z' => Some(c - b'a' + 26),
-        b'0'..=b'9' => Some(c - b'0' + 52),
-        b'+' => Some(62),
-        b'/' => Some(63),
-        _ => None,
+/// Table entry for a byte outside the alphabet.
+const INVALID: u8 = 0xFF;
+/// Table entry for ASCII whitespace, which the decoder skips.
+const SKIP: u8 = 0xFE;
+/// Table entry for the pad character `=`.
+const PAD: u8 = 0xFD;
+
+/// Byte → sextet value (0..64), or one of the markers above.
+const DECODE: [u8; 256] = {
+    let mut t = [INVALID; 256];
+    let mut i = 0;
+    while i < 64 {
+        t[ALPHABET[i] as usize] = i as u8;
+        i += 1;
     }
-}
+    t[b'=' as usize] = PAD;
+    t[b' ' as usize] = SKIP;
+    t[b'\t' as usize] = SKIP;
+    t[b'\n' as usize] = SKIP;
+    t[b'\x0C' as usize] = SKIP;
+    t[b'\r' as usize] = SKIP;
+    t
+};
 
 /// Decode base64 (padding required; whitespace tolerated).
+///
+/// Strict per RFC 4648: `=` may appear only at the end of the final
+/// quantum (§3.3), and the pad bits it leaves must be zero (§3.5), so
+/// every accepted input is the one encoding of its bytes, up to
+/// whitespace.
 pub fn decode(s: &str) -> Option<Vec<u8>> {
-    let cleaned: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
-    if !cleaned.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(cleaned.len() / 4 * 3);
-    for chunk in cleaned.chunks(4) {
-        let pad = chunk.iter().filter(|&&c| c == b'=').count();
-        if pad > 2 {
-            return None;
-        }
-        // '=' may only appear at the end.
-        for (i, &c) in chunk.iter().enumerate() {
-            if c == b'=' && i < 4 - pad {
-                return None;
+    let mut out = Vec::with_capacity(s.len() / 4 * 3);
+    // Sextets of the current quantum, and how many of them there are.
+    let mut acc: u32 = 0;
+    let mut n = 0;
+    let mut pad = 0;
+    for &c in s.as_bytes() {
+        match DECODE[c as usize] {
+            v if v < 64 => {
+                if pad > 0 {
+                    return None;
+                }
+                acc = acc << 6 | v as u32;
+                n += 1;
+                if n == 4 {
+                    out.extend_from_slice(&[(acc >> 16) as u8, (acc >> 8) as u8, acc as u8]);
+                    acc = 0;
+                    n = 0;
+                }
             }
+            PAD => {
+                pad += 1;
+                if n < 2 || n + pad > 4 {
+                    return None;
+                }
+            }
+            SKIP => {}
+            _ => return None,
         }
-        let vals: Vec<u8> = chunk[..4 - pad]
-            .iter()
-            .map(|&c| decode_char(c))
-            .collect::<Option<_>>()?;
-        let mut n: u32 = 0;
-        for (i, v) in vals.iter().enumerate() {
-            n |= (*v as u32) << (18 - 6 * i);
-        }
-        out.push((n >> 16) as u8);
-        if pad < 2 {
-            out.push((n >> 8) as u8);
-        }
-        if pad < 1 {
-            out.push(n as u8);
-        }
+    }
+    match (n, pad) {
+        (0, 0) => {}
+        (2, 2) if acc & 0xF == 0 => out.push((acc >> 4) as u8),
+        (3, 1) if acc & 0x3 == 0 => out.extend_from_slice(&[(acc >> 10) as u8, (acc >> 2) as u8]),
+        _ => return None,
     }
     Some(out)
+}
+
+/// Decode an element's base64 text content, borrowing it when it is
+/// one text run (the shape every encoder here writes).
+pub(crate) fn decode_text(el: &Element) -> Option<Vec<u8>> {
+    match el.children.as_slice() {
+        [Node::Text(t)] => decode(t),
+        _ => decode(&el.text_content()),
+    }
 }
 
 #[cfg(test)]
@@ -112,7 +149,9 @@ mod tests {
 
     #[test]
     fn malformed_rejected() {
-        for bad in ["A", "AB", "ABC", "A===", "Zm9v!", "=AAA", "A=AA"] {
+        for bad in [
+            "A", "AB", "ABC", "A===", "Zm9v!", "=AAA", "A=AA", "Zg==Zm9v", "Zh==", "Zm9=",
+        ] {
             assert!(decode(bad).is_none(), "{bad:?}");
         }
     }

@@ -4,7 +4,7 @@
 //! SOAP envelope, which is what lets "entities in the network recognize
 //! whether and how an interaction is secured" (paper §4.4).
 
-use gridsec_xml::Element;
+use gridsec_xml::{Element, Node};
 
 use crate::WsseError;
 
@@ -93,32 +93,44 @@ impl Envelope {
 
     /// Parse an envelope from XML text.
     pub fn parse(xml: &str) -> Result<Envelope, WsseError> {
-        let root = Element::parse(xml)?;
-        Self::from_element(&root)
+        Self::from_root(Element::parse(xml)?)
     }
 
     /// Extract an envelope from a parsed element.
     pub fn from_element(root: &Element) -> Result<Envelope, WsseError> {
+        Self::from_root(root.clone())
+    }
+
+    /// Take an envelope apart, moving its header and body elements out
+    /// rather than copying them.
+    fn from_root(root: Element) -> Result<Envelope, WsseError> {
         if root.local_name() != "Envelope" {
             return Err(WsseError::Missing("soap:Envelope"));
         }
-        let header = root.find("Header");
-        let body = root.find("Body").ok_or(WsseError::Missing("soap:Body"))?;
+        // The first `Header` and the first `Body`, as `Element::find`.
+        let mut header = None;
+        let mut body = None;
+        for child in into_elements(root.children) {
+            match child.local_name() {
+                "Header" if header.is_none() => header = Some(child),
+                "Body" if body.is_none() => body = Some(child),
+                _ => {}
+            }
+        }
+        let body = body.ok_or(WsseError::Missing("soap:Body"))?;
         let mut action = None;
         let mut headers = Vec::new();
-        if let Some(h) = header {
-            for child in h.child_elements() {
-                if child.local_name() == "Action" {
-                    action = Some(child.text_content());
-                } else {
-                    headers.push(child.clone());
-                }
+        for child in header.into_iter().flat_map(|h| into_elements(h.children)) {
+            if child.local_name() == "Action" {
+                action = Some(child.text_content());
+            } else {
+                headers.push(child);
             }
         }
         Ok(Envelope {
             action,
             headers,
-            body: body.child_elements().cloned().collect(),
+            body: into_elements(body.children).collect(),
         })
     }
 
@@ -132,6 +144,21 @@ impl Default for Envelope {
     fn default() -> Self {
         Envelope::new()
     }
+}
+
+/// The element nodes of a child list, moved out.
+fn into_elements(children: Vec<Node>) -> impl Iterator<Item = Element> {
+    children.into_iter().filter_map(|n| match n {
+        Node::Element(e) => Some(e),
+        Node::Text(_) => None,
+    })
+}
+
+/// Parse decrypted body text — a concatenation of elements — into those
+/// elements.
+pub(crate) fn parse_body(text: &str) -> Result<Vec<Element>, WsseError> {
+    let wrapper = Element::parse(&format!("<w>{text}</w>"))?;
+    Ok(into_elements(wrapper.children).collect())
 }
 
 /// A WS-Security `Timestamp`: freshness window for a message.

@@ -34,7 +34,7 @@ use gridsec_tls::session::{
 use gridsec_xml::Element;
 
 use crate::b64;
-use crate::soap::Envelope;
+use crate::soap::{parse_body, Envelope};
 use crate::WsseError;
 
 /// Action URI for token-exchange envelopes.
@@ -58,7 +58,7 @@ fn parse_rst(env: &Envelope) -> Result<(Option<String>, Option<Vec<u8>>), WsseEr
     let req = env.payload().ok_or(WsseError::Missing("RST payload"))?;
     let ctx_id = req.find("wsc:Identifier").map(|e| e.text_content());
     let token = match req.find("wst:BinaryExchange") {
-        Some(e) => Some(b64::decode(&e.text_content()).ok_or(WsseError::Base64)?),
+        Some(e) => Some(b64::decode_text(e).ok_or(WsseError::Base64)?),
         None => None,
     };
     Ok((ctx_id, token))
@@ -386,10 +386,7 @@ impl WsscResponder {
 // ----------------------------------------------------------------------
 
 fn protect_with(ctx: &mut EstablishedContext, ctx_id: &str, env: &Envelope) -> Envelope {
-    let mut body_xml = String::new();
-    for el in &env.body {
-        body_xml.push_str(&el.to_xml());
-    }
+    let body_xml: String = env.body.iter().map(Element::to_xml).collect();
     let sealed = ctx.wrap(body_xml.as_bytes());
     let mut out = Envelope::new();
     out.action = Some(format!(
@@ -417,15 +414,14 @@ fn unprotect_with(
     env: &Envelope,
 ) -> Result<(String, Envelope), WsseError> {
     let id = secured_ctx_id(env)?;
-    let sealed_b64 = env
+    let sealed = env
         .payload()
         .filter(|p| p.name == "wsc:EncryptedMessage")
-        .ok_or(WsseError::Missing("wsc:EncryptedMessage"))?
-        .text_content();
-    let sealed = b64::decode(&sealed_b64).ok_or(WsseError::Base64)?;
+        .ok_or(WsseError::Missing("wsc:EncryptedMessage"))?;
+    let sealed = b64::decode_text(sealed).ok_or(WsseError::Base64)?;
     let plain = ctx.unwrap(&sealed).map_err(|_| WsseError::Decrypt)?;
     let text = String::from_utf8(plain).map_err(|_| WsseError::Decrypt)?;
-    let wrapper = Element::parse(&format!("<w>{text}</w>"))?;
+    let body = parse_body(&text)?;
     let mut inner = Envelope::new();
     inner.action = env
         .action
@@ -433,7 +429,7 @@ fn unprotect_with(
         .and_then(|a| a.strip_prefix(SECURED_ACTION_PREFIX))
         .filter(|a| !a.is_empty())
         .map(|a| a.to_string());
-    inner.body = wrapper.child_elements().cloned().collect();
+    inner.body = body;
     Ok((id, inner))
 }
 

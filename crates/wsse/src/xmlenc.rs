@@ -12,7 +12,7 @@ use gridsec_crypto::rsa::{RsaKeyPair, RsaPublicKey};
 use gridsec_xml::Element;
 
 use crate::b64;
-use crate::soap::Envelope;
+use crate::soap::{parse_body, Envelope};
 use crate::WsseError;
 
 /// Encrypt an envelope's body for `recipient`. Headers (including any
@@ -70,33 +70,26 @@ pub fn decrypt_body(env: &Envelope, key: &RsaKeyPair) -> Result<Envelope, WsseEr
         .ok_or(WsseError::Missing("xenc:EncryptedData"))?;
     let wrapped = ed
         .path(&["ds:KeyInfo", "xenc:EncryptedKey"])
-        .ok_or(WsseError::Missing("xenc:EncryptedKey"))?
-        .text_content();
-    let iv = ed
-        .find("xenc:IV")
-        .ok_or(WsseError::Missing("xenc:IV"))?
-        .text_content();
+        .ok_or(WsseError::Missing("xenc:EncryptedKey"))?;
+    let iv = ed.find("xenc:IV").ok_or(WsseError::Missing("xenc:IV"))?;
     let cipher = ed
         .find("xenc:CipherValue")
-        .ok_or(WsseError::Missing("xenc:CipherValue"))?
-        .text_content();
+        .ok_or(WsseError::Missing("xenc:CipherValue"))?;
 
     let cek_bytes = key
-        .decrypt_pkcs1(&b64::decode(&wrapped).ok_or(WsseError::Base64)?)
+        .decrypt_pkcs1(&b64::decode_text(wrapped).ok_or(WsseError::Base64)?)
         .map_err(|_| WsseError::Decrypt)?;
     let cek: [u8; 32] = cek_bytes.try_into().map_err(|_| WsseError::Decrypt)?;
-    let nonce_bytes = b64::decode(&iv).ok_or(WsseError::Base64)?;
+    let nonce_bytes = b64::decode_text(iv).ok_or(WsseError::Base64)?;
     let nonce: [u8; 12] = nonce_bytes.try_into().map_err(|_| WsseError::Decrypt)?;
-    let sealed = b64::decode(&cipher).ok_or(WsseError::Base64)?;
+    let sealed = b64::decode_text(cipher).ok_or(WsseError::Base64)?;
 
     let plain =
         aead::open(&cek, &nonce, b"xmlenc-body", &sealed).map_err(|_| WsseError::Decrypt)?;
     let text = String::from_utf8(plain).map_err(|_| WsseError::Decrypt)?;
 
-    // The plaintext is a concatenation of elements; wrap to parse.
-    let wrapper = Element::parse(&format!("<w>{text}</w>"))?;
     let mut out = env.clone();
-    out.body = wrapper.child_elements().cloned().collect();
+    out.body = parse_body(&text)?;
     Ok(out)
 }
 

@@ -134,10 +134,9 @@ pub fn verify_envelope(
     let signed_info = signature
         .find("ds:SignedInfo")
         .ok_or(WsseError::Missing("ds:SignedInfo"))?;
-    let sig_value_b64 = signature
+    let sig_value = signature
         .find("ds:SignatureValue")
-        .ok_or(WsseError::Missing("ds:SignatureValue"))?
-        .text_content();
+        .ok_or(WsseError::Missing("ds:SignatureValue"))?;
     let bst = signature
         .path(&["ds:KeyInfo", "wsse:BinarySecurityToken"])
         .ok_or(WsseError::Missing("wsse:BinarySecurityToken"))?;
@@ -147,7 +146,7 @@ pub fn verify_envelope(
     let identity = validate_chain_with_crls(&chain, trust, crls, now)?;
 
     // Verify the signature over canonical SignedInfo.
-    let sig_value = b64::decode(&sig_value_b64).ok_or(WsseError::Base64)?;
+    let sig_value = b64::decode_text(sig_value).ok_or(WsseError::Base64)?;
     if !identity
         .public_key
         .verify_pkcs1_sha256(signed_info.canonical_xml().as_bytes(), &sig_value)

@@ -232,23 +232,11 @@ impl Element {
         out.push('<');
         out.push_str(&self.name);
         if canonical {
-            let mut attrs = self.attributes.clone();
-            attrs.sort();
-            for (k, v) in &attrs {
-                out.push(' ');
-                out.push_str(k);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(v));
-                out.push('"');
-            }
+            let mut sorted: Vec<&(String, String)> = self.attributes.iter().collect();
+            sorted.sort_unstable();
+            sorted.into_iter().for_each(|a| write_attr(out, a));
         } else {
-            for (k, v) in &self.attributes {
-                out.push(' ');
-                out.push_str(k);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(v));
-                out.push('"');
-            }
+            self.attributes.iter().for_each(|a| write_attr(out, a));
         }
         if self.children.is_empty() && !canonical {
             out.push_str("/>");
@@ -258,7 +246,7 @@ impl Element {
         for c in &self.children {
             match c {
                 Node::Element(e) => e.write(out, canonical),
-                Node::Text(t) => out.push_str(&escape_text(t)),
+                Node::Text(t) => escape_into(out, t, false),
             }
         }
         out.push_str("</");
@@ -272,32 +260,33 @@ impl Element {
     }
 }
 
-fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
-    out
+fn write_attr(out: &mut String, (name, value): &(String, String)) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    escape_into(out, value, true);
+    out.push('"');
 }
 
-fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
+/// Append `s` to `out`, escaping `&`, `<` and `>` — and, inside an
+/// attribute value, both quote characters. Runs that need no escaping
+/// are copied whole.
+fn escape_into(out: &mut String, s: &str, attr: bool) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\'' if attr => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -353,6 +342,29 @@ mod tests {
         let parsed = Element::parse(&xml).unwrap();
         assert_eq!(parsed.attr("a"), Some("x\"<>&'y"));
         assert_eq!(parsed.text_content(), "a < b && c > \"d\"");
+    }
+
+    #[test]
+    fn serialization_bytes_are_pinned() {
+        // XML-Signature digests hash these bytes: escaping of `& < > " '`
+        // in text and attribute values, and multibyte characters passed
+        // through untouched, must never change.
+        let el = Element::new("t")
+            .with_attr("z", "a&b<c>d\"e'f é")
+            .with_attr("a", "ü'\"")
+            .with_child(Element::new("c").with_text("x & y < z > \"q\" 'p' — ü"))
+            .with_text("tail&€")
+            .with_child(Element::new("e"));
+        assert_eq!(
+            el.to_xml(),
+            "<t z=\"a&amp;b&lt;c&gt;d&quot;e&apos;f é\" a=\"ü&apos;&quot;\">\
+             <c>x &amp; y &lt; z &gt; \"q\" 'p' — ü</c>tail&amp;€<e/></t>"
+        );
+        assert_eq!(
+            el.canonical_xml(),
+            "<t a=\"ü&apos;&quot;\" z=\"a&amp;b&lt;c&gt;d&quot;e&apos;f é\">\
+             <c>x &amp; y &lt; z &gt; \"q\" 'p' — ü</c>tail&amp;€<e></e></t>"
+        );
     }
 
     #[test]

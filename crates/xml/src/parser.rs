@@ -36,6 +36,9 @@ impl std::error::Error for XmlError {}
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The document; every slice taken from it starts and ends next to
+    /// an ASCII delimiter, hence on a char boundary.
+    src: &'a str,
     input: &'a [u8],
     pos: usize,
     depth: usize,
@@ -44,6 +47,7 @@ struct Parser<'a> {
 /// Parse a document into its root element.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
+        src: input,
         input: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -114,7 +118,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_alphanumeric() || matches!(c, b':' | b'_' | b'-' | b'.') {
@@ -126,7 +130,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(&self.src[start..self.pos])
     }
 
     fn expect(&mut self, c: u8) -> Result<(), XmlError> {
@@ -191,13 +195,13 @@ impl<'a> Parser<'a> {
                     if self.peek() != Some(quote) {
                         return Err(self.err("unterminated attribute value"));
                     }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
+                    let raw = &self.src[start..self.pos];
                     self.pos += 1;
-                    let value = unescape(&raw).map_err(|m| self.err(m))?;
-                    if el.attr(&attr_name).is_some() {
+                    let value = unescape(raw).map_err(|m| self.err(m))?;
+                    if el.attr(attr_name).is_some() {
                         return Err(self.err(format!("duplicate attribute {attr_name:?}")));
                     }
-                    el.attributes.push((attr_name, value));
+                    el.attributes.push((attr_name.to_owned(), value));
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -217,9 +221,8 @@ impl<'a> Parser<'a> {
                 let start = self.pos + 9;
                 match self.input[start..].windows(3).position(|w| w == b"]]>") {
                     Some(rel) => {
-                        let text =
-                            String::from_utf8_lossy(&self.input[start..start + rel]).into_owned();
-                        el.children.push(Node::Text(text));
+                        let text = &self.src[start..start + rel];
+                        el.children.push(Node::Text(text.to_owned()));
                         self.pos = start + rel + 3;
                         continue;
                     }
@@ -246,20 +249,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    let text = unescape(&raw).map_err(|m| self.err(m))?;
+                    self.pos = match self.src[start..].find('<') {
+                        Some(rel) => start + rel,
+                        None => self.input.len(),
+                    };
+                    let text = unescape(&self.src[start..self.pos]).map_err(|m| self.err(m))?;
                     // Whitespace-only runs between elements are not
-                    // significant for our protocols; keep them only when
-                    // the element has no element children yet mixed text.
-                    if (!text.trim().is_empty() || el.children.is_empty())
-                        && !text.trim().is_empty()
-                    {
+                    // significant for our protocols and are dropped.
+                    if !text.trim().is_empty() {
                         el.children.push(Node::Text(text));
                     }
                 }
@@ -269,21 +266,16 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Decode the predefined entities and numeric character references.
+/// Decode the predefined entities and numeric character references,
+/// copying the runs between them whole.
 fn unescape(s: &str) -> Result<String, String> {
-    if !s.contains('&') {
-        return Ok(s.to_string());
-    }
     let mut out = String::with_capacity(s.len());
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        if c != '&' {
-            out.push(c);
-            continue;
-        }
-        let rest = &s[i + 1..];
-        let semi = rest.find(';').ok_or("unterminated entity reference")?;
-        let entity = &rest[..semi];
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let body = &rest[amp + 1..];
+        let semi = body.find(';').ok_or("unterminated entity reference")?;
+        let entity = &body[..semi];
         match entity {
             "amp" => out.push('&'),
             "lt" => out.push('<'),
@@ -303,11 +295,9 @@ fn unescape(s: &str) -> Result<String, String> {
             }
             other => return Err(format!("unknown entity &{other};")),
         }
-        // Skip the consumed entity body.
-        for _ in 0..semi + 1 {
-            chars.next();
-        }
+        rest = &body[semi + 1..];
     }
+    out.push_str(rest);
     Ok(out)
 }
 

@@ -100,11 +100,27 @@ fn canonical_stable_under_reparse() {
     });
 }
 
+/// Tags, markup delimiters, entity and section openers, and 2-, 3-
+/// and 4-byte UTF-8 characters, for gluing into near-valid documents.
+#[rustfmt::skip]
+const FRAGMENTS: &[&str] = &[
+    "<a>", "</a>", "<a b=\"", "<a b='", "<", ">", "\"", "'", "=", "&", "]]>", "</", "/>",
+    "<!--", "-->", "<![CDATA[", "<?xml", "?>", ";", "#", "#x", "amp;", "&#233;", "&#x20AC;",
+    "a", "b:c", " ", "\n", "é", "€", "ü", "—", "😀",
+    "<é", "é>", "\"é", "é\"", "=é", "é=", "&é", "é&", "]]>é", "é]]>", "&é;", "&#é;",
+];
+
 #[test]
 fn parser_never_panics() {
     check("parser_never_panics", CASES, |g| {
         // Printable ASCII is already heavy in <, >, &, quotes.
         let s = g.printable_string(0..200);
+        let _ = Element::parse(&s);
+        // Markup fragments glued to multibyte UTF-8: the parser slices
+        // its `&str` input, and a slice off a char boundary would panic.
+        // Most start inside an open tag, so the body gets parsed too.
+        let open = *g.choice(&["", "<a>", "<a>", "<a b='"]);
+        let s = open.to_string() + &g.vec(0..60, |g| *g.choice(FRAGMENTS)).concat();
         let _ = Element::parse(&s);
     });
 }

@@ -10,8 +10,9 @@
 # credential-lifetime suite (expiry-storm renewal waves + portal armed
 # kills with exactly-once proxy issuance) — the
 # perf claims must hold, the storm/striped bench metrics must be
-# two-run byte-identical, and the committed EXPERIMENTS.md tables must
-# match what the pinned seed regenerates (drift gate).
+# two-run byte-identical, the benchmark's (perfbench/) own verdict tests
+# must pass, and the committed EXPERIMENTS.md tables must match what the
+# pinned seed regenerates (drift gate).
 #
 # The pipeline is a sequence of named stages. Each stage is timed; the
 # wall-clock table is printed at the end and written to
@@ -398,13 +399,22 @@ stage_drift() {
     echo "ok: EXPERIMENTS.md matches regenerated flow metrics"
 }
 
+# The benchmark's own unit tests: every workload's verdict checks
+# (including a tampered ws_messages wire message failing its round) and
+# the pin of BENCHMARK.json to the binary's metric catalogue. Built under
+# target/ so CI's target cache covers it.
+stage_perfbench_tests() {
+    CARGO_TARGET_DIR=target/perfbench \
+        cargo test --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 # ---------------------------------------------------------------------------
 # Stage runner
 # ---------------------------------------------------------------------------
 
 ALL_STAGES="grep_guard fmt build clippy test examples chaos crash_chaos \
 striped_chaos cred_chaos perf_guard vo_storm handshake_storm striped_xfer \
-crypto_storm drift"
+crypto_storm perfbench_tests drift"
 if [ "${GRIDSEC_VERIFY_DEEP:-0}" = "1" ]; then
     ALL_STAGES="$ALL_STAGES deep_matrix"
 fi
