@@ -8,7 +8,7 @@
 //!
 //! Both are implemented here, key-free: the [`Firewall`] classifies
 //! envelopes purely from their observable structure (security headers,
-//! token-exchange actions), and [`run_router`] forwards envelopes along
+//! token-exchange actions), and [`RouterTask`] forwards envelopes along
 //! their `wsr:path` through the simulated network — so a service behind
 //! a perimeter is reachable without the perimeter holding any
 //! credentials or terminating any security context.
@@ -112,58 +112,13 @@ impl<T: Transport> Transport for FirewalledTransport<T> {
     }
 }
 
-/// Run a WS-Routing intermediary on the simulated network: receive an
-/// envelope, apply the firewall, pop the next hop, forward, and relay
-/// the reply back. Serves `max_requests` messages, then exits.
-pub fn run_router(
-    network: &Network,
-    name: &str,
-    mut firewall: Firewall,
-    max_requests: usize,
-) -> FirewallStats {
-    let endpoint = network.register(name);
-    for _ in 0..max_requests {
-        let Ok(msg) = endpoint.recv() else { break };
-        let xml = String::from_utf8_lossy(&msg.payload).into_owned();
-        let reply = match firewall.inspect(&xml) {
-            Verdict::Deny(reason) => crate::hosting::fault_envelope(&OgsaError::Transport(
-                format!("dropped by firewall: {reason}"),
-            ))
-            .to_xml(),
-            Verdict::Allow(_) => {
-                // Route to the next hop and relay its reply.
-                match Envelope::parse(&xml) {
-                    Ok(mut env) => match routing::advance(&mut env) {
-                        Ok(Some(next)) => match endpoint.call(&next, env.to_xml().into_bytes()) {
-                            Ok(reply) => String::from_utf8_lossy(&reply.payload).into_owned(),
-                            Err(e) => {
-                                crate::hosting::fault_envelope(&OgsaError::Transport(e.to_string()))
-                                    .to_xml()
-                            }
-                        },
-                        _ => crate::hosting::fault_envelope(&OgsaError::Malformed(
-                            "router received unrouted message",
-                        ))
-                        .to_xml(),
-                    },
-                    Err(e) => crate::hosting::fault_envelope(&OgsaError::Wsse(e)).to_xml(),
-                }
-            }
-        };
-        let _ = endpoint.send(&msg.from, reply.into_bytes());
-    }
-    firewall.stats
-}
-
-/// [`run_router`] as a resumable discrete-event task: drain the
-/// mailbox, forward allowed envelopes to their next hop *without
-/// blocking*, and relay each hop's replies back to the original
-/// senders. Spawn it with
+/// A WS-Routing intermediary on the simulated network, as a resumable
+/// discrete-event task: drain the mailbox, apply the firewall, forward
+/// allowed envelopes to their next hop *without blocking*, and relay
+/// each hop's replies back to the original senders. Spawn it with
 /// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
-/// under the router's endpoint name; this replaces the
-/// thread-per-router loop in scheduler-driven scenarios. The firewall
-/// is shared so a harness can read its counters while the task lives on
-/// the scheduler.
+/// under the router's endpoint name. The firewall is shared so a harness
+/// can read its counters while the task lives on the scheduler.
 pub struct RouterTask {
     endpoint: Endpoint,
     firewall: Rc<RefCell<Firewall>>,
@@ -247,17 +202,18 @@ impl RoutedTransport {
         }
     }
 
-    /// Install a pump hook (typically `|| scheduler.poll()`): instead of
-    /// blocking on the reply, each call drives the hook until the reply
-    /// arrives, so routers and services scheduled on the same thread
-    /// make progress inside the client's wait.
+    /// Install a pump hook (typically `|| scheduler.poll()`): each call
+    /// drives the hook until the reply arrives, so routers and services
+    /// scheduled on the same thread make progress inside the client's
+    /// wait.
     pub fn set_pump(&mut self, hook: impl FnMut() -> usize + 'static) {
         self.pump = Some(Box::new(hook));
     }
 
-    /// One request/reply exchange: blocking without a pump, pump-driven
-    /// with one. A quiescent pump with no reply means the message died
-    /// inside the perimeter — surfaced as a timeout, not a hang.
+    /// One request/reply exchange: the already-queued reply without a
+    /// pump, pump-driven with one. A quiescent pump with no reply means
+    /// the message died inside the perimeter — surfaced as a timeout,
+    /// not a hang.
     fn exchange(&mut self, to: &str, payload: Vec<u8>) -> Result<Message, TestbedError> {
         self.endpoint.send(to, payload)?;
         match &mut self.pump {

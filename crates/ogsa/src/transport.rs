@@ -3,9 +3,9 @@
 //! * [`InProcessTransport`] — direct function call into a shared hosting
 //!   environment (single-threaded benches and tests).
 //! * [`NetworkTransport`] — request/response over the `gridsec-testbed`
-//!   message network; pair with [`serve`] running the environment behind
-//!   an endpoint (multi-host scenarios, GRAM). Assumes a perfect
-//!   network: one send, one blocking receive.
+//!   message network; pair with a [`ServeTask`] running the environment
+//!   behind an endpoint (multi-host scenarios, GRAM). Assumes a perfect
+//!   network: one send, one reply.
 //! * [`RetryTransport`] / [`RpcService`] — the fault-tolerant pair:
 //!   requests ride the at-most-once RPC layer
 //!   ([`gridsec_testbed::rpc`]), so lost envelopes are retransmitted
@@ -51,9 +51,11 @@ impl Transport for InProcessTransport {
 }
 
 /// Request/response over the simulated network. Each call sends to the
-/// server endpoint and waits for the reply — blocking (thread-per-server
-/// scenarios) or, with [`NetworkTransport::set_pump`], by driving a
-/// scheduler until the reply lands.
+/// server endpoint and takes the reply: the one already queued (an
+/// empty mailbox is a timeout, see
+/// [`Endpoint::recv`][gridsec_testbed::net::Endpoint::recv]) or, with
+/// [`NetworkTransport::set_pump`], the one that lands while the call
+/// drives a scheduler.
 pub struct NetworkTransport {
     endpoint: Endpoint,
     server: String,
@@ -71,7 +73,7 @@ impl NetworkTransport {
     }
 
     /// Install a pump hook (typically `|| scheduler.poll()`): each call
-    /// drives the hook instead of blocking, so a [`ServeTask`] scheduled
+    /// drives the hook until the reply lands, so a [`ServeTask`] scheduled
     /// on the same thread answers inside the client's wait. A quiescent
     /// pump with no reply surfaces as a transport timeout, not a hang.
     pub fn set_pump(&mut self, hook: impl FnMut() -> usize + 'static) {
@@ -191,8 +193,7 @@ impl RpcService {
 /// An [`RpcService`] is a natural discrete-event task: drain the
 /// mailbox, then park until the next delivery. Spawn it with
 /// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
-/// under its endpoint name so deliveries wake it; this replaces the
-/// thread-per-service [`serve`] loop in scheduler-driven scenarios.
+/// under its endpoint name so deliveries wake it.
 impl Task for RpcService {
     fn step(&mut self, _cx: &TaskCx) -> Step {
         self.poll();
@@ -200,8 +201,9 @@ impl Task for RpcService {
     }
 }
 
-/// [`serve`] as a resumable discrete-event task: answer each raw
-/// envelope from the mailbox, then park until the next delivery. Spawn
+/// A hosting environment behind a network endpoint, as a resumable
+/// discrete-event task: answer each raw envelope from the mailbox, then
+/// park until the next delivery. Spawn
 /// with
 /// [`Scheduler::spawn_mailbox`][gridsec_testbed::sched::Scheduler::spawn_mailbox]
 /// under the endpoint name. Unlike [`RpcService`] this speaks bare
@@ -230,33 +232,5 @@ impl Task for ServeTask {
             let _ = self.endpoint.send(&msg.from, reply.into_bytes());
         }
         Step::WaitMail { deadline: None }
-    }
-}
-
-/// Run a hosting environment behind a network endpoint until the endpoint
-/// is unregistered or the process count hits `max_requests` (`None` =
-/// forever). Intended to run on its own thread.
-pub fn serve(
-    mut env: HostingEnvironment,
-    network: &Network,
-    endpoint_name: &str,
-    max_requests: Option<usize>,
-) {
-    let endpoint = network.register(endpoint_name);
-    let mut served = 0usize;
-    loop {
-        let msg = match endpoint.recv() {
-            Ok(m) => m,
-            Err(_) => return,
-        };
-        let request = String::from_utf8_lossy(&msg.payload).into_owned();
-        let reply = env.handle_message(&request);
-        let _ = endpoint.send(&msg.from, reply.into_bytes());
-        served += 1;
-        if let Some(max) = max_requests {
-            if served >= max {
-                return;
-            }
-        }
     }
 }

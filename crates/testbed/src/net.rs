@@ -12,18 +12,24 @@
 //! The accounting counters feed experiment C1 (bytes on the wire for
 //! GT2-TLS vs. GT3-WS-SecureConversation context establishment).
 //!
+//! One mutex guards everything the datagram path touches (names,
+//! routes, mailboxes, fault state, wake log): a send, a
+//! [`Network::pump`] and an [`Endpoint::try_recv`] each take it once.
+//! Mailboxes are slots in a slab, recycled once their [`Endpoint`] is
+//! dropped and the name no longer routes to them.
+//!
 //! # Deterministic fault injection
 //!
 //! [`Network::enable_faults`] arms a seed-driven fault layer: every
 //! message is subject to per-link latency, drop, duplication, and
-//! reorder decisions drawn from one [`DetRng`] under a single lock, in
-//! send order, so a given `(seed, profile, send sequence)` always
-//! produces the same [`Network::transcript`]. Latencies are measured on
-//! the shared [`SimClock`]; delayed messages sit in a pending queue
-//! until [`Network::pump`] is called with the clock at or past their
-//! delivery time. [`Endpoint::recv_timeout`] drives the clock forward
-//! itself (pump → try_recv → advance-to-next-event), which is how
-//! client retry loops experience timeouts without wall-clock sleeps.
+//! reorder decisions drawn from one [`DetRng`], in send order, so a
+//! given `(seed, profile, send sequence)` always produces the same
+//! [`Network::transcript`]. Latencies are measured on the shared
+//! [`SimClock`]; delayed messages sit in a pending queue until
+//! [`Network::pump`] is called with the clock at or past their delivery
+//! time. [`Endpoint::recv_timeout`] drives the clock forward itself
+//! (pump → try_recv → advance-to-next-event), which is how client retry
+//! loops experience timeouts without wall-clock sleeps.
 //! [`Network::partition`] severs a host pair bidirectionally until
 //! healed. None of this affects a network whose faults were never
 //! enabled: the legacy zero-latency direct-delivery path is unchanged.
@@ -36,7 +42,7 @@ use gridsec_util::rng::{DetRng, RngCore};
 use gridsec_util::sync::Mutex;
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,6 +54,13 @@ pub struct TrafficStats {
     pub messages: u64,
     /// Total payload bytes delivered.
     pub bytes: u64,
+}
+
+impl TrafficStats {
+    fn record(&mut self, bytes: usize) {
+        self.messages += 1;
+        self.bytes += bytes as u64;
+    }
 }
 
 #[derive(Default)]
@@ -172,7 +185,8 @@ pub struct FaultStats {
     pub sent: u64,
     /// Copies actually delivered to a mailbox.
     pub delivered: u64,
-    /// Messages dropped by the loss draw.
+    /// Messages dropped by the loss draw, plus copies whose destination
+    /// was unregistered or its handle dropped by delivery time.
     pub dropped: u64,
     /// Extra copies created by the duplication draw.
     pub duplicated: u64,
@@ -285,16 +299,23 @@ impl FaultState {
                 times.join(",")
             ));
         }
-        for deliver_at in arrivals {
-            self.seq += 1;
-            self.pending.push(Reverse(PendingDelivery {
-                deliver_at,
-                seq: self.seq,
-                from,
-                to,
-                payload: payload.clone(),
-            }));
+        // Every copy but the last gets a clone; the last takes the payload.
+        let (&last, extra) = arrivals.split_last().expect("one arrival at least");
+        for &deliver_at in extra {
+            self.queue(deliver_at, from, to, payload.clone());
         }
+        self.queue(last, from, to, payload);
+    }
+
+    fn queue(&mut self, deliver_at: u64, from: NameId, to: NameId, payload: Vec<u8>) {
+        self.seq += 1;
+        self.pending.push(Reverse(PendingDelivery {
+            deliver_at,
+            seq: self.seq,
+            from,
+            to,
+            payload,
+        }));
     }
 }
 
@@ -309,28 +330,124 @@ fn normalize_pair(a: NameId, b: NameId) -> (NameId, NameId) {
 /// A named message network.
 #[derive(Clone, Default)]
 pub struct Network {
-    inner: Arc<NetworkInner>,
+    inner: Arc<Mutex<NetState>>,
 }
 
+/// Everything the datagram path touches, under the network's one lock.
 #[derive(Default)]
-struct NetworkInner {
-    names: Mutex<NameTable>,
-    endpoints: Mutex<HashMap<NameId, Sender<Message>>>,
-    counters: Counters,
-    faults: Mutex<Option<FaultState>>,
-    wakes: Mutex<WakeLog>,
+struct NetState {
+    names: NameTable,
+    mail: Mailboxes,
+    faults: Option<FaultState>,
 }
 
-/// Delivery notifications for the discrete-event scheduler
-/// ([`crate::sched`]): when enabled, every successful mailbox delivery
-/// appends the recipient's interned id, in delivery order, so the
-/// scheduler can wake the task waiting on that mailbox without polling
-/// every endpoint. Disabled by default so non-scheduled networks pay
-/// nothing and accumulate nothing.
+/// Where an interned name delivers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Route {
+    /// Not registered (never, or unregistered since).
+    #[default]
+    Unrouted,
+    /// Delivers into this mailbox slot.
+    Slot(usize),
+    /// Registered, but its handle was dropped: mail evaporates.
+    Closed,
+}
+
+/// Routes, the mailbox slab, traffic accounting and the wake log.
 #[derive(Default)]
-struct WakeLog {
-    enabled: bool,
-    ids: Vec<NameId>,
+struct Mailboxes {
+    /// Indexed by [`NameId`]; names interned but never registered are
+    /// past the end or [`Route::Unrouted`].
+    routes: Vec<Route>,
+    slots: Vec<VecDeque<Message>>,
+    /// Slots whose handles were dropped, ready for reuse (LIFO).
+    free: Vec<usize>,
+    traffic: TrafficStats,
+    /// Delivery notifications for the discrete-event scheduler
+    /// ([`crate::sched`]): every successful delivery appends the
+    /// recipient, in delivery order, so the scheduler wakes the task
+    /// waiting on that mailbox without polling every endpoint. `None`
+    /// until a scheduler enables it, so other networks accumulate nothing.
+    wakes: Option<Vec<NameId>>,
+}
+
+impl Mailboxes {
+    fn route(&self, id: NameId) -> Route {
+        self.routes.get(id.index()).copied().unwrap_or_default()
+    }
+
+    fn set_route(&mut self, id: NameId, route: Route) {
+        if id.index() >= self.routes.len() {
+            self.routes.resize(id.index() + 1, Route::Unrouted);
+        }
+        self.routes[id.index()] = route;
+    }
+
+    /// Route `id` to a fresh mailbox slot. A handle the name routed to
+    /// before keeps its slot (and its mail) until it is dropped.
+    fn open(&mut self, id: NameId) -> usize {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(VecDeque::new());
+            self.slots.len() - 1
+        });
+        self.set_route(id, Route::Slot(slot));
+        slot
+    }
+
+    /// The handle owning `slot` was dropped: its unread mail goes, and
+    /// a name still routed to it stays registered but delivers nowhere.
+    fn close(&mut self, id: NameId, slot: usize) {
+        if self.route(id) == Route::Slot(slot) {
+            self.set_route(id, Route::Closed);
+        }
+        self.slots[slot].clear();
+        self.free.push(slot);
+    }
+
+    fn deliver(&mut self, slot: usize, to: NameId, msg: Message) {
+        self.slots[slot].push_back(msg);
+        self.wake(to);
+    }
+
+    fn wake(&mut self, to: NameId) {
+        if let Some(log) = &mut self.wakes {
+            log.push(to);
+        }
+    }
+}
+
+impl NetState {
+    /// Deliver every pending copy whose scheduled time is at or before
+    /// the fault clock's now, in `(deliver_at, seq)` order.
+    fn pump(&mut self) -> usize {
+        let Some(fs) = self.faults.as_mut() else {
+            return 0;
+        };
+        let now = fs.clock.now();
+        let mut delivered = 0;
+        while fs.pending.peek().is_some_and(|e| e.0.deliver_at <= now) {
+            let Reverse(e) = fs.pending.pop().expect("peeked");
+            let route = self.mail.route(e.to);
+            if route != Route::Unrouted {
+                self.mail.traffic.record(e.payload.len());
+            }
+            let Route::Slot(slot) = route else {
+                // Destination vanished between send and delivery: the
+                // copy evaporates, like packets to a dead host.
+                fs.stats.dropped += 1;
+                continue;
+            };
+            let from = self.names.resolve(e.from).to_string();
+            let msg = Message {
+                from,
+                payload: e.payload,
+            };
+            self.mail.deliver(slot, e.to, msg);
+            fs.stats.delivered += 1;
+            delivered += 1;
+        }
+        delivered
+    }
 }
 
 impl Network {
@@ -343,70 +460,71 @@ impl Network {
     /// [`NameId`]. Idempotent; the id is valid for the network's
     /// lifetime.
     pub fn intern(&self, name: &str) -> NameId {
-        self.inner.names.lock().intern(name)
+        self.inner.lock().names.intern(name)
     }
 
     /// Look up an already-interned name without interning it.
     pub fn lookup(&self, name: &str) -> Option<NameId> {
-        self.inner.names.lock().get(name)
+        self.inner.lock().names.get(name)
     }
 
     /// Resolve an interned id back to its name (owned, since the table
     /// lives behind a lock).
     pub fn resolve(&self, id: NameId) -> String {
-        self.inner.names.lock().resolve(id).to_string()
+        self.inner.lock().names.resolve(id).to_string()
     }
 
     /// Register an endpoint name, returning its handle. Re-registering a
     /// name replaces the previous endpoint: the old handle keeps any mail
-    /// already in its mailbox but receives nothing further (its receiver
-    /// reports `Disconnected` once drained). Use [`Network::try_register`]
-    /// to refuse instead of replace.
+    /// already in its mailbox but receives nothing further (it reports
+    /// `Disconnected` once drained). Use [`Network::try_register`] to
+    /// refuse instead of replace.
     pub fn register(&self, name: &str) -> Endpoint {
-        let id = self.intern(name);
-        let (tx, rx) = unbounded();
-        self.inner.endpoints.lock().insert(id, tx);
-        Endpoint {
-            name: name.to_string(),
-            id,
-            network: self.clone(),
-            rx,
-        }
+        let mut st = self.inner.lock();
+        let id = st.names.intern(name);
+        let slot = st.mail.open(id);
+        drop(st);
+        self.endpoint(name, id, slot)
     }
 
     /// Register an endpoint name, erroring with
     /// [`TestbedError::EndpointInUse`] if the name is already taken
     /// (instead of silently replacing it as [`Network::register`] does).
     pub fn try_register(&self, name: &str) -> Result<Endpoint, TestbedError> {
-        let id = self.intern(name);
-        let mut map = self.inner.endpoints.lock();
-        if map.contains_key(&id) {
+        let mut st = self.inner.lock();
+        let id = st.names.intern(name);
+        if st.mail.route(id) != Route::Unrouted {
             return Err(TestbedError::EndpointInUse(name.to_string()));
         }
-        let (tx, rx) = unbounded();
-        map.insert(id, tx);
-        drop(map);
-        Ok(Endpoint {
-            name: name.to_string(),
-            id,
-            network: self.clone(),
-            rx,
-        })
+        let slot = st.mail.open(id);
+        drop(st);
+        Ok(self.endpoint(name, id, slot))
     }
 
-    /// Remove an endpoint (its receiver starts reporting `Disconnected`).
+    fn endpoint(&self, name: &str, id: NameId, slot: usize) -> Endpoint {
+        Endpoint {
+            name: name.to_string(),
+            id,
+            slot,
+            network: self.clone(),
+        }
+    }
+
+    /// Remove an endpoint (its handle reports `Disconnected` once
+    /// drained).
     pub fn unregister(&self, name: &str) {
-        if let Some(id) = self.lookup(name) {
-            self.inner.endpoints.lock().remove(&id);
+        let mut st = self.inner.lock();
+        if let Some(id) = st.names.get(name) {
+            st.mail.set_route(id, Route::Unrouted);
         }
     }
 
     /// `true` iff an endpoint with this name is registered.
     pub fn is_registered(&self, name: &str) -> bool {
-        match self.lookup(name) {
-            Some(id) => self.inner.endpoints.lock().contains_key(&id),
-            None => false,
-        }
+        let st = self.inner.lock();
+        st.names
+            .get(name)
+            .is_some_and(|id| st.mail.route(id) != Route::Unrouted)
     }
 
     /// Arm the deterministic fault layer. All subsequent sends draw
@@ -415,7 +533,7 @@ impl Network {
     /// delivered by [`Network::pump`]. Calling this again resets the
     /// fault state (fresh RNG, empty queue, empty transcript).
     pub fn enable_faults(&self, clock: SimClock, seed: u64, profile: FaultProfile) {
-        *self.inner.faults.lock() = Some(FaultState {
+        self.inner.lock().faults = Some(FaultState {
             clock,
             rng: DetRng::seed_from_u64(seed),
             profile,
@@ -436,21 +554,28 @@ impl Network {
     /// *decisions* (RNG draws, stats) are unaffected, so a run is
     /// byte-identical per seed whether or not the transcript is kept.
     pub fn set_transcript_recording(&self, on: bool) {
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
+        if let Some(fs) = self.inner.lock().faults.as_mut() {
             fs.record_transcript = on;
         }
     }
 
-    /// Start recording delivery notifications for [`Network::take_wakes`].
-    pub fn enable_wake_log(&self) {
-        self.inner.wakes.lock().enabled = true;
+    /// Start recording delivery notifications for the scheduler.
+    pub(crate) fn enable_wake_log(&self) {
+        self.inner.lock().mail.wakes.get_or_insert_with(Vec::new);
     }
 
-    /// Drain the delivery notification log: the interned ids of
-    /// endpoints that received mail since the last call, in delivery
-    /// order. Empty unless [`Network::enable_wake_log`] was called.
-    pub fn take_wakes(&self) -> Vec<NameId> {
-        std::mem::take(&mut self.inner.wakes.lock().ids)
+    /// Deliver every due copy, then hand the delivery notification log
+    /// (interned ids that received mail since the last call, in
+    /// delivery order) to the scheduler by swapping it with `buf`, all
+    /// under one acquisition of the lock. `buf` comes back cleared into
+    /// the log, so the two buffers are reused call after call.
+    pub(crate) fn pump_wakes(&self, buf: &mut Vec<NameId>) {
+        let mut st = self.inner.lock();
+        st.pump();
+        buf.clear();
+        if let Some(log) = &mut st.mail.wakes {
+            std::mem::swap(log, buf);
+        }
     }
 
     /// Append a synthetic delivery notification for `id`, exactly as if
@@ -459,30 +584,24 @@ impl Network {
     /// readable, see [`SimStream::wake_on_readable`]) reach a scheduler
     /// task parked in `WaitMail`.
     pub fn notify_wake(&self, id: NameId) {
-        self.record_delivery(id);
-    }
-
-    fn record_delivery(&self, to: NameId) {
-        let mut log = self.inner.wakes.lock();
-        if log.enabled {
-            log.ids.push(to);
-        }
+        self.inner.lock().mail.wake(id);
     }
 
     /// `true` iff [`Network::enable_faults`] has armed the fault layer.
     pub fn faults_enabled(&self) -> bool {
-        self.inner.faults.lock().is_some()
+        self.inner.lock().faults.is_some()
     }
 
     /// The clock the fault layer schedules on, if armed.
     pub fn fault_clock(&self) -> Option<SimClock> {
-        self.inner.faults.lock().as_ref().map(|f| f.clock.clone())
+        self.inner.lock().faults.as_ref().map(|f| f.clock.clone())
     }
 
     /// Override the fault profile for one directed link `from -> to`.
     pub fn set_link_profile(&self, from: &str, to: &str, profile: FaultProfile) {
-        let key = (self.intern(from), self.intern(to));
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
+        let mut st = self.inner.lock();
+        let key = (st.names.intern(from), st.names.intern(to));
+        if let Some(fs) = st.faults.as_mut() {
             fs.link_profiles.insert(key, profile);
         }
     }
@@ -491,23 +610,25 @@ impl Network {
     /// an active partition are blocked (counted in
     /// [`FaultStats::blocked`]); copies already in flight still arrive.
     pub fn partition(&self, a: &str, b: &str) {
-        let key = normalize_pair(self.intern(a), self.intern(b));
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
+        let mut st = self.inner.lock();
+        let key = normalize_pair(st.names.intern(a), st.names.intern(b));
+        if let Some(fs) = st.faults.as_mut() {
             fs.partitions.insert(key);
         }
     }
 
     /// Heal the partition between `a` and `b`, if any.
     pub fn heal(&self, a: &str, b: &str) {
-        let key = normalize_pair(self.intern(a), self.intern(b));
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
+        let mut st = self.inner.lock();
+        let key = normalize_pair(st.names.intern(a), st.names.intern(b));
+        if let Some(fs) = st.faults.as_mut() {
             fs.partitions.remove(&key);
         }
     }
 
     /// Heal all partitions.
     pub fn heal_all(&self) {
-        if let Some(fs) = self.inner.faults.lock().as_mut() {
+        if let Some(fs) = self.inner.lock().faults.as_mut() {
             fs.partitions.clear();
         }
     }
@@ -516,60 +637,14 @@ impl Network {
     /// the fault clock's now. Returns the number of copies delivered.
     /// A no-op (returning 0) when faults are not armed.
     pub fn pump(&self) -> usize {
-        let mut delivered = 0;
-        loop {
-            // Pop one due entry under the fault lock, then deliver it
-            // with only the endpoints lock held (fixed faults→endpoints
-            // order; never both across a call boundary).
-            let entry = {
-                let mut guard = self.inner.faults.lock();
-                let fs = match guard.as_mut() {
-                    Some(fs) => fs,
-                    None => return delivered,
-                };
-                let now = fs.clock.now();
-                match fs.pending.peek() {
-                    Some(Reverse(head)) if head.deliver_at <= now => {
-                        let Reverse(e) = fs.pending.pop().expect("peeked");
-                        e
-                    }
-                    _ => return delivered,
-                }
-            };
-            let tx = self.inner.endpoints.lock().get(&entry.to).cloned();
-            let ok = match tx {
-                Some(tx) => {
-                    self.inner.counters.record(entry.payload.len());
-                    tx.send(Message {
-                        from: self.resolve(entry.from),
-                        payload: entry.payload,
-                    })
-                    .is_ok()
-                }
-                // Destination vanished between send and delivery: the
-                // copy evaporates, like packets to a dead host.
-                None => false,
-            };
-            if ok {
-                self.record_delivery(entry.to);
-            }
-            let mut guard = self.inner.faults.lock();
-            if let Some(fs) = guard.as_mut() {
-                if ok {
-                    fs.stats.delivered += 1;
-                    delivered += 1;
-                } else {
-                    fs.stats.dropped += 1;
-                }
-            }
-        }
+        self.inner.lock().pump()
     }
 
     /// Scheduled time of the earliest pending delivery, if any.
     pub fn next_event_at(&self) -> Option<u64> {
         self.inner
-            .faults
             .lock()
+            .faults
             .as_ref()
             .and_then(|fs| fs.pending.peek().map(|Reverse(e)| e.deliver_at))
     }
@@ -579,8 +654,8 @@ impl Network {
     /// profile, and send sequence — the chaos suite's replay check.
     pub fn transcript(&self) -> Vec<String> {
         self.inner
-            .faults
             .lock()
+            .faults
             .as_ref()
             .map(|fs| fs.transcript.clone())
             .unwrap_or_default()
@@ -588,7 +663,7 @@ impl Network {
 
     /// Fault-layer counters, if armed.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.inner.faults.lock().as_ref().map(|fs| fs.stats)
+        self.inner.lock().faults.as_ref().map(|fs| fs.stats)
     }
 
     fn send(
@@ -598,53 +673,44 @@ impl Network {
         to: &str,
         payload: Vec<u8>,
     ) -> Result<(), TestbedError> {
-        let to_id = self
-            .lookup(to)
-            .ok_or_else(|| TestbedError::NoSuchEndpoint(to.to_string()))?;
-        {
-            let map = self.inner.endpoints.lock();
-            if !map.contains_key(&to_id) {
-                return Err(TestbedError::NoSuchEndpoint(to.to_string()));
-            }
-        }
-        {
-            let mut guard = self.inner.faults.lock();
-            if let Some(fs) = guard.as_mut() {
-                fs.inject(from, to_id, (from_name, to), payload);
-                drop(guard);
-                // Zero-latency copies may already be due.
-                self.pump();
-                return Ok(());
-            }
-        }
-        let tx = {
-            let map = self.inner.endpoints.lock();
-            map.get(&to_id)
-                .cloned()
-                .ok_or_else(|| TestbedError::NoSuchEndpoint(to.to_string()))?
+        let mut guard = self.inner.lock();
+        let st = &mut *guard;
+        let (to_id, route) = match st.names.get(to).map(|id| (id, st.mail.route(id))) {
+            Some((id, route)) if route != Route::Unrouted => (id, route),
+            _ => return Err(TestbedError::NoSuchEndpoint(to.to_string())),
         };
-        self.inner.counters.record(payload.len());
-        tx.send(Message {
+        if let Some(fs) = st.faults.as_mut() {
+            fs.inject(from, to_id, (from_name, to), payload);
+            // Zero-latency copies may already be due.
+            st.pump();
+            return Ok(());
+        }
+        st.mail.traffic.record(payload.len());
+        let Route::Slot(slot) = route else {
+            return Err(TestbedError::Disconnected);
+        };
+        let msg = Message {
             from: from_name.to_string(),
             payload,
-        })
-        .map_err(|_| TestbedError::Disconnected)?;
-        self.record_delivery(to_id);
+        };
+        st.mail.deliver(slot, to_id, msg);
         Ok(())
     }
 
     /// Traffic accounting since creation.
     pub fn stats(&self) -> TrafficStats {
-        self.inner.counters.snapshot()
+        self.inner.lock().mail.traffic
     }
 }
 
 /// A registered endpoint: can send to any name and receive its own mail.
+/// Dropping it frees its mailbox; a name still routed to it stays
+/// registered, but mail sent there evaporates.
 pub struct Endpoint {
     name: String,
     id: NameId,
+    slot: usize,
     network: Network,
-    rx: Receiver<Message>,
 }
 
 impl Endpoint {
@@ -668,14 +734,27 @@ impl Endpoint {
         self.network.send(self.id, &self.name, to, payload)
     }
 
-    /// Block until a message arrives.
+    /// Take the next queued message. Never parks the thread — on a
+    /// single-threaded scenario nothing could ever wake it: an empty
+    /// mailbox is [`TestbedError::Timeout`] while the name still routes
+    /// to this handle (exactly [`Endpoint::recv_timeout`] without
+    /// faults) and [`TestbedError::Disconnected`] once the handle was
+    /// replaced or unregistered.
     pub fn recv(&self) -> Result<Message, TestbedError> {
-        self.rx.recv().map_err(|_| TestbedError::Disconnected)
+        let mut st = self.network.inner.lock();
+        if let Some(m) = st.mail.slots[self.slot].pop_front() {
+            return Ok(m);
+        }
+        if st.mail.route(self.id) == Route::Slot(self.slot) {
+            Err(TestbedError::Timeout)
+        } else {
+            Err(TestbedError::Disconnected)
+        }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
+        self.network.inner.lock().mail.slots[self.slot].pop_front()
     }
 
     /// Receive with a timeout of `timeout` SimClock seconds.
@@ -711,11 +790,18 @@ impl Endpoint {
         }
     }
 
-    /// Send a request and block for the next message (simple RPC idiom for
-    /// single-threaded scenarios where the callee answers synchronously).
+    /// Send a request and take the reply already queued when the send
+    /// returns, per [`Endpoint::recv`] (the simple RPC idiom for
+    /// scenarios whose callee answers synchronously).
     pub fn call(&self, to: &str, payload: Vec<u8>) -> Result<Message, TestbedError> {
         self.send(to, payload)?;
         self.recv()
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.network.inner.lock().mail.close(self.id, self.slot);
     }
 }
 
@@ -1165,6 +1251,55 @@ mod tests {
         a.send("bob", b"x".to_vec()).unwrap();
         assert!(b.try_recv().is_some());
         assert!(b.try_recv().is_none());
+    }
+
+    #[test]
+    fn recv_on_an_empty_mailbox_never_parks_the_thread() {
+        let net = Network::new();
+        let a = net.register("alice");
+        let b = net.register("bob");
+        // Nothing else runs on this thread, so nothing could ever wake a
+        // parked receiver: an empty, still-routed mailbox is a timeout.
+        assert_eq!(b.recv(), Err(TestbedError::Timeout));
+        assert_eq!(a.call("bob", b"q".to_vec()), Err(TestbedError::Timeout));
+        a.send("bob", b"last".to_vec()).unwrap();
+        // Replaced: the old handle drains, then reads Disconnected.
+        let b2 = net.register("bob");
+        assert_eq!(b.recv().unwrap().payload, b"q");
+        assert_eq!(b.recv().unwrap().payload, b"last");
+        assert_eq!(b.recv(), Err(TestbedError::Disconnected));
+        assert_eq!(b2.recv(), Err(TestbedError::Timeout));
+        net.unregister("bob");
+        assert_eq!(b2.recv(), Err(TestbedError::Disconnected));
+
+        // Same verdicts with the fault layer armed.
+        let net = Network::new();
+        net.enable_faults(SimClock::new(), 1, FaultProfile::default());
+        let c = net.register("carol");
+        assert_eq!(c.recv(), Err(TestbedError::Timeout));
+    }
+
+    #[test]
+    fn mail_to_a_dropped_endpoint_evaporates() {
+        let net = Network::new();
+        let a = net.register("alice");
+        drop(net.register("bob"));
+        assert!(net.is_registered("bob"), "the name still routes");
+        assert_eq!(
+            a.send("bob", b"x".to_vec()),
+            Err(TestbedError::Disconnected)
+        );
+        // The freed mailbox is reused by the next registration, empty.
+        let c = net.register("carol");
+        assert!(c.try_recv().is_none());
+
+        let net = Network::new();
+        net.enable_faults(SimClock::new(), 1, FaultProfile::default());
+        let a = net.register("alice");
+        drop(net.register("bob"));
+        a.send("bob", b"x".to_vec()).unwrap();
+        assert_eq!(net.fault_stats().unwrap().dropped, 1);
+        assert_eq!(net.fault_stats().unwrap().delivered, 0);
     }
 
     #[test]

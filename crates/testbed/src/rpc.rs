@@ -150,8 +150,8 @@ impl RpcClient {
         trace::add("rpc.calls", 1);
         trace::add("rpc.bytes_sent", frame.len() as u64);
         let mut last_err = TestbedError::Timeout;
-        let schedule: Vec<(u32, u64)> = self.policy.schedule().collect();
-        for (attempt, timeout) in schedule {
+        let policy = self.policy;
+        for (attempt, timeout) in policy.schedule() {
             if attempt > 0 {
                 self.stats.retransmissions += 1;
                 trace::add("rpc.retransmissions", 1);
@@ -230,20 +230,9 @@ impl RpcClient {
                         .unwrap_or(deadline);
                     c.set(next);
                 }
-                _ => {
-                    if self.pump.is_some() {
-                        // No clock and the hook is quiescent: nothing can
-                        // produce the reply anymore.
-                        return Err(TestbedError::Timeout);
-                    }
-                    // Perfect network, threaded server: block.
-                    let m = self.endpoint.recv()?;
-                    if let Some((rid, body)) = decode_reply(&m.payload) {
-                        if rid == id {
-                            return Ok(body.to_vec());
-                        }
-                    }
-                }
+                // No clock to advance and the hook (if any) is
+                // quiescent: nothing can produce the reply anymore.
+                _ => return Err(TestbedError::Timeout),
             }
         }
     }
@@ -284,8 +273,8 @@ pub struct PollingCall {
     server: String,
     id: u64,
     frame: Vec<u8>,
-    schedule: Vec<(u32, u64)>,
-    next_attempt: usize,
+    policy: RetryPolicy,
+    next_attempt: u32,
     attempt_deadline: Option<u64>,
     retransmissions: u64,
 }
@@ -298,7 +287,7 @@ impl PollingCall {
             server: server.to_string(),
             id,
             frame: encode_request(id, payload),
-            schedule: policy.schedule().collect(),
+            policy,
             next_attempt: 0,
             attempt_deadline: None,
             retransmissions: 0,
@@ -331,10 +320,12 @@ impl PollingCall {
                 }
             }
             // First transmission, or the in-flight attempt timed out.
-            let Some(&(attempt, timeout)) = self.schedule.get(self.next_attempt) else {
+            let attempt = self.next_attempt;
+            if attempt == self.policy.attempts() {
                 return CallPoll::Exhausted;
-            };
+            }
             self.next_attempt += 1;
+            let timeout = self.policy.timeout_for(attempt);
             if attempt > 0 {
                 self.retransmissions += 1;
             }

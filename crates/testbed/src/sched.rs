@@ -45,7 +45,7 @@ use crate::clock::SimClock;
 use crate::names::NameId;
 use crate::net::Network;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// What a task wants next, returned from [`Task::step`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,7 +161,11 @@ pub struct Scheduler {
     /// total, `epoch` invalidates entries for waits that already ended.
     timers: BinaryHeap<Reverse<(u64, u64, TaskId, u64)>>,
     timer_seq: u64,
-    mailboxes: HashMap<NameId, TaskId>,
+    /// Mailbox → waiting task, indexed by [`NameId`].
+    mailboxes: Vec<Option<TaskId>>,
+    /// The network's wake log, swapped out once per
+    /// [`Scheduler::absorb_wakes`]; kept to reuse its allocation.
+    wakes: Vec<NameId>,
     live: usize,
     stats: SchedStats,
 }
@@ -183,7 +187,8 @@ impl Scheduler {
             ready: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            mailboxes: HashMap::new(),
+            mailboxes: Vec::new(),
+            wakes: Vec::new(),
             live: 0,
             stats: SchedStats::default(),
         }
@@ -244,7 +249,10 @@ impl Scheduler {
         // previous occupant.
         self.epochs[id] += 1;
         if let Some(mb) = mailbox {
-            self.mailboxes.insert(mb, id);
+            if mb.index() >= self.mailboxes.len() {
+                self.mailboxes.resize(mb.index() + 1, None);
+            }
+            self.mailboxes[mb.index()] = Some(id);
         }
         self.slots[id] = Some(Slot {
             task,
@@ -259,12 +267,14 @@ impl Scheduler {
     }
 
     /// Route pending deliveries and due timers to their tasks: pump the
-    /// network, wake mailbox waiters in delivery order, then release
-    /// every timer at or before *now* in `(time, seq)` order.
+    /// network and take its wake log (one lock acquisition), wake
+    /// mailbox waiters in delivery order, then release every timer at
+    /// or before *now* in `(time, seq)` order.
     fn absorb_wakes(&mut self) {
-        self.net.pump();
-        for name in self.net.take_wakes() {
-            if let Some(&id) = self.mailboxes.get(&name) {
+        let mut wakes = std::mem::take(&mut self.wakes);
+        self.net.pump_wakes(&mut wakes);
+        for name in &wakes {
+            if let Some(&Some(id)) = self.mailboxes.get(name.index()) {
                 if let Some(slot) = self.slots[id].as_mut() {
                     if slot.state == State::WaitingMail {
                         slot.state = State::Ready;
@@ -274,6 +284,7 @@ impl Scheduler {
                 }
             }
         }
+        self.wakes = wakes;
         let now = self.clock.now();
         while let Some(Reverse((at, _, id, epoch))) = self.timers.peek().copied() {
             if at > now {
@@ -305,9 +316,9 @@ impl Scheduler {
             Step::Done => {
                 self.live -= 1;
                 self.stats.completed += 1;
-                if let Some(mb) = &slot.mailbox {
-                    if self.mailboxes.get(mb) == Some(&id) {
-                        self.mailboxes.remove(mb);
+                if let Some(mb) = slot.mailbox {
+                    if self.mailboxes[mb.index()] == Some(id) {
+                        self.mailboxes[mb.index()] = None;
                     }
                 }
                 // The slot stays vacated (the task is dropped here) and

@@ -66,9 +66,14 @@ impl RetryPolicy {
         t.min(self.max_timeout).max(1)
     }
 
+    /// Number of allowed tries (`max_attempts`, at least 1).
+    pub fn attempts(&self) -> u32 {
+        self.max_attempts.max(1)
+    }
+
     /// Iterator of `(attempt, timeout_secs)` pairs, one per allowed try.
     pub fn schedule(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        (0..self.max_attempts.max(1)).map(move |i| (i, self.timeout_for(i)))
+        (0..self.attempts()).map(move |i| (i, self.timeout_for(i)))
     }
 
     /// Worst-case total seconds a caller can spend before giving up:

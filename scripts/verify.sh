@@ -3,7 +3,8 @@
 # offline, no manifest may declare a registry (crates.io) dependency,
 # formatting and clippy must be clean, every example must run, the seeded
 # chaos suite must be deterministic (same seed -> byte-identical event
-# transcript AND trace dump across two fresh processes) — the
+# transcript AND trace dump across two fresh processes, and at the
+# pinned seed equal to the digest committed beside this script) — the
 # network-faults-only profile, the combined crash/restart profile
 # (seeded process kills + write-ahead-journal recovery), the striped
 # GridFTP scenario (mid-stripe kills + AIMD congestion control), and the
@@ -40,7 +41,9 @@ if [ "${GRIDSEC_VERIFY_DEEP:-0}" = "1" ]; then
     echo "== deep mode: GRIDSEC_PT_CASES=$GRIDSEC_PT_CASES =="
 fi
 
-chaos_seed="${GRIDSEC_CHAOS_SEED:-0xC4A05EED}"
+pinned_chaos_seed=0xC4A05EED
+pinned_storm_principals=2000
+chaos_seed="${GRIDSEC_CHAOS_SEED:-$pinned_chaos_seed}"
 if [ -n "${GRIDSEC_VERIFY_TMPDIR:-}" ]; then
     tdir="$GRIDSEC_VERIFY_TMPDIR"
     mkdir -p "$tdir"
@@ -49,6 +52,23 @@ else
     trap 'rm -rf "$tdir"' EXIT
 fi
 timings="${GRIDSEC_STAGE_TIMINGS:-$tdir/stage-timings.md}"
+
+# Cross-commit determinism. The two-run gates only compare a change with
+# itself, so a rewrite that reorders deliveries or fault draws would still
+# pass them; at the pinned seed and scale the output must also match the
+# digest committed in scripts/determinism.sha256.
+check_pinned_digest() {
+    local key="$1" file="$2" want got
+    want=$(awk -v k="$key" '$2 == k { print $1 }' scripts/determinism.sha256)
+    got=$(sha256sum "$file" | cut -d' ' -f1)
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: $key sha256 $got differs from the pinned $want" >&2
+        echo "      (scripts/determinism.sha256). The output moved against the parent" >&2
+        echo "      commit; a digest may change only with a CHANGES.md note saying why." >&2
+        exit 1
+    fi
+    echo "ok: $key matches its pinned digest"
+}
 
 # ---------------------------------------------------------------------------
 # Stages
@@ -108,7 +128,8 @@ stage_examples() {
     done
 }
 
-# Two fresh processes, same seed -> byte-identical transcript + trace.
+# Two fresh processes, same seed -> byte-identical transcript + trace;
+# at the pinned seed the transcript must also match its pinned digest.
 stage_chaos() {
     for run in 1 2; do
         GRIDSEC_CHAOS_SEED="$chaos_seed" \
@@ -131,6 +152,9 @@ stage_chaos() {
     lines=$(wc -l < "$tdir/transcript.1")
     tlines=$(wc -l < "$tdir/trace.1")
     echo "ok: $lines transcript + $tlines trace lines identical across two runs (seed $chaos_seed)"
+    if [ "$chaos_seed" = "$pinned_chaos_seed" ]; then
+        check_pinned_digest chaos-transcript "$tdir/transcript.1"
+    fi
 }
 
 # Same two-process gate, with every service additionally running under a
@@ -278,11 +302,13 @@ stage_perf_guard() {
 # Reduced-scale run of the discrete-event VO storm (the bench bin
 # defaults to 10^5 principals; see bench-results/after/BENCH_vo_storm.json
 # for the full-scale record). Every metric except wall time must be a
-# pure function of the seed across two fresh processes, and every flow
-# must reach a verdict.
+# pure function of the seed across two fresh processes, match the
+# pinned digest at the default seed and scale, and every flow must reach
+# a verdict.
 stage_vo_storm() {
+    local principals="${GRIDSEC_STORM_PRINCIPALS:-$pinned_storm_principals}"
     for run in 1 2; do
-        GRIDSEC_STORM_PRINCIPALS="${GRIDSEC_STORM_PRINCIPALS:-2000}" \
+        GRIDSEC_STORM_PRINCIPALS="$principals" \
         GRIDSEC_BENCH_DIR="$tdir" \
             cargo run -q --offline --release -p gridsec-bench --bin vo_storm -- \
             --metrics-out "$tdir/storm.$run" > /dev/null
@@ -298,6 +324,9 @@ stage_vo_storm() {
         exit 1
     fi
     echo "ok: $(head -1 "$tdir/storm.1") (byte-identical across two runs)"
+    if [ "$principals" = "$pinned_storm_principals" ] && [ -z "${GRIDSEC_STORM_SEED:-}" ]; then
+        check_pinned_digest vo_storm-metrics "$tdir/storm.1"
+    fi
 }
 
 # Reduced-scale run of the batched-handshake storm (the bench bin
